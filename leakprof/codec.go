@@ -172,8 +172,12 @@ func encodeDictSeedPayload(seed []string) ([]byte, error) {
 }
 
 // finishBinaryPayload prepends the payload header and optionally flate-
-// compresses the body.
+// compresses the body. A body over maxFrameBytes is refused even when it
+// would compress below it: decoding caps inflation at the same bound.
 func finishBinaryPayload(full []byte, compress bool) ([]byte, error) {
+	if len(full) > maxFrameBytes {
+		return nil, fmt.Errorf("leakprof: binary record body of %d bytes exceeds %d", len(full), maxFrameBytes)
+	}
 	payload := []byte{binaryFrameMagic, binaryFrameVersion, 0}
 	if compress {
 		payload[2] |= binaryFlagFlate
@@ -279,6 +283,20 @@ func encodeBinaryBody(rec *journalRecord, tbl stringRef) []byte {
 	return b
 }
 
+// inflateBody inflates a flate-compressed frame body, failing rather
+// than producing more than limit bytes: flate expands up to ~1000-fold,
+// so without the cap a small crafted frame could demand gigabytes.
+func inflateBody(body []byte, limit int64) ([]byte, error) {
+	out, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(body)), limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(out)) > limit {
+		return nil, fmt.Errorf("body inflates past %d bytes", limit)
+	}
+	return out, nil
+}
+
 // errBinaryTruncated aliases the shared primitive's truncation error so
 // in-package codec paths (and their tests) keep one name for it.
 var errBinaryTruncated = frame.ErrTruncated
@@ -300,7 +318,7 @@ func (d *segDecoder) decodeBinaryRecord(payload []byte) (*journalRecord, error) 
 	flags, body := payload[2], payload[3:]
 	if flags&binaryFlagFlate != 0 {
 		var err error
-		if body, err = io.ReadAll(flate.NewReader(bytes.NewReader(body))); err != nil {
+		if body, err = inflateBody(body, maxFrameBytes); err != nil {
 			return nil, fmt.Errorf("leakprof: inflating binary record: %w", err)
 		}
 	}

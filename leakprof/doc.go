@@ -232,10 +232,13 @@
 // buffered whole, so ingest memory is bounded by the admission queue
 // times the per-dump folded state (O(locations)), not by fleet size or
 // dump length. Arrivals accumulate into clock-driven tumbling windows
-// (WithWindow; a late arrival credits the next window), and each window
-// close emits one ordinary Sweep: alerting, trend tracking, archives,
-// and the state journal run unchanged, they simply see "windows"
-// instead of "collection rounds".
+// (WithWindow; a late arrival credits the next window). A window closes
+// at its deadline — one timer armed when it opens wakes the close, so
+// each window lasts exactly WithWindow and its Sweep reaches the sinks
+// without waiting on a polling interval — and each close emits one
+// ordinary Sweep: alerting, trend tracking, archives, and the state
+// journal run unchanged, they simply see "windows" instead of
+// "collection rounds".
 //
 // Backpressure is first-class rather than emergent. Admission is
 // bounded by IngestQueue: a POST past the bound is rejected immediately

@@ -149,11 +149,6 @@ type IngestServer struct {
 	// released when the dump folds or its request fails.
 	inflight sync.Map
 
-	// foldNotify wakes the window loop after a worker folds, so the
-	// deadline is re-evaluated on fold progress exactly as it was when
-	// folding was inline.
-	foldNotify chan struct{}
-
 	// retryAfter is the 429 Retry-After hint in seconds: half a window,
 	// when the queue has likely drained.
 	retryAfter string
@@ -244,9 +239,10 @@ func IngestAuthToken(tok string) IngestOption {
 
 // IngestTicks overrides the window wake-up channel — the test seam that
 // makes window closing deterministic under a fake pipeline clock. Each
-// receive re-evaluates the window deadline against the pipeline clock;
-// without arrivals or ticks a window never closes. Unset, Run wakes
-// itself on a real-time ticker.
+// receive re-evaluates the window deadline against the pipeline clock,
+// and the ticks are the window's only wake-ups: without one a window
+// never closes. Unset, each window arms a real-time timer for its
+// deadline and closes when it fires.
 func IngestTicks(ticks <-chan time.Time) IngestOption {
 	return func(s *IngestServer) { s.ticks = ticks }
 }
@@ -262,7 +258,6 @@ func NewIngestServer(pipe *Pipeline, opts ...IngestOption) *IngestServer {
 		queue:         make(chan ingestItem, DefaultIngestQueue),
 		slots:         make(chan struct{}, DefaultIngestQueue),
 		foldWorkers:   defaultFoldWorkers(),
-		foldNotify:    make(chan struct{}, 1),
 		rejected:      make(map[string]int),
 		quotaRejected: make(map[string]int),
 		dropped:       make(map[string]int),
@@ -490,31 +485,22 @@ func (s *IngestServer) flushAccounting(env *SweepEnv) {
 
 // Run is the window loop: it folds admitted dumps into tumbling windows
 // paced by the pipeline clock and emits one normal Sweep per closed
-// window until ctx is cancelled. Cancellation is the drain barrier:
-// admission stops (further POSTs get 503), everything already admitted
-// is folded into one final partial-window sweep — delivered to sinks
-// and journal like any other — and Run returns ctx's error. Callers
-// still own the usual pipeline barriers (Pipeline.Flush/Close) for
-// detached sinks and deferred fsync windows, exactly as after pull
-// sweeps.
+// window until ctx is cancelled. Each window closes at its deadline,
+// WithWindow after it opened, woken by a timer rather than by polling.
+// Cancellation is the drain barrier: admission stops (further POSTs get
+// 503), everything already admitted is folded into one final
+// partial-window sweep — delivered to sinks and journal like any other
+// — and Run returns ctx's error. Callers still own the usual pipeline
+// barriers (Pipeline.Flush/Close) for detached sinks and deferred fsync
+// windows, exactly as after pull sweeps.
 func (s *IngestServer) Run(ctx context.Context) error {
-	ticks := s.ticks
-	if ticks == nil {
-		period := s.pipe.cfg.window() / 4
-		if period < 10*time.Millisecond {
-			period = 10 * time.Millisecond
-		}
-		ticker := time.NewTicker(period)
-		defer ticker.Stop()
-		ticks = ticker.C
-	}
 	for {
 		if start := s.closeStart.Swap(0); start != 0 {
 			pause := time.Since(time.Unix(0, start))
 			s.pauseNS.Add(int64(pause))
 			s.lastPause.Store(int64(pause))
 		}
-		s.pipe.Sweep(ctx, ingestWindow{s: s, ticks: ticks})
+		s.pipe.Sweep(ctx, ingestWindow{s})
 		s.windows.Add(1)
 		if ctx.Err() != nil {
 			s.closed.Store(true)
@@ -524,7 +510,7 @@ func (s *IngestServer) Run(ctx context.Context) error {
 			// drain under the cancelled context — folds them so nothing
 			// admitted is lost.
 			if len(s.slots) > 0 {
-				s.pipe.Sweep(ctx, ingestWindow{s: s, ticks: ticks})
+				s.pipe.Sweep(ctx, ingestWindow{s})
 				s.windows.Add(1)
 			}
 			return ctx.Err()
@@ -553,10 +539,6 @@ func (s *IngestServer) foldLoop(stop <-chan struct{}, env *SweepEnv) {
 			s.releaseService(item.snap.Service)
 			s.folded.Add(1)
 			s.noteFold(time.Since(start))
-			select {
-			case s.foldNotify <- struct{}{}:
-			default:
-			}
 		}
 	}
 }
@@ -612,21 +594,28 @@ func adaptiveDrainGrace(tail time.Duration, outstanding, workers int) time.Durat
 }
 
 // ingestWindow is the Source one window sweep drains: queued snapshots
-// are folded by the worker pool until the pipeline clock crosses the
+// are folded by the worker pool until the pipeline clock reaches the
 // window deadline, then the pool is quiesced and the source returns —
 // closing the window — leaving later arrivals queued for the next
-// window. Context cancellation drains whatever is already queued (the
-// shutdown barrier) and returns.
-type ingestWindow struct {
-	s     *IngestServer
-	ticks <-chan time.Time
-}
+// window. One timer armed for the deadline wakes the close, so a window
+// closes at its deadline and lasts exactly WithWindow; under
+// IngestTicks the test's ticks are the only wake-ups. Context
+// cancellation drains whatever is already queued (the shutdown barrier)
+// and returns.
+type ingestWindow struct{ s *IngestServer }
 
 func (ingestWindow) Name() string { return "ingest" }
 
 func (w ingestWindow) Sweep(ctx context.Context, env *SweepEnv) error {
 	s := w.s
 	deadline := env.Config.now().Add(env.Config.window())
+	wake := s.ticks
+	var timer *time.Timer
+	if wake == nil {
+		timer = time.NewTimer(env.Config.window())
+		defer timer.Stop()
+		wake = timer.C
+	}
 
 	// The fold pool: workers append concurrently to the sharded
 	// aggregator (Emit is safe for concurrent use, and findings/moments
@@ -651,8 +640,7 @@ func (w ingestWindow) Sweep(ctx context.Context, env *SweepEnv) error {
 
 	for {
 		select {
-		case <-s.foldNotify:
-		case <-w.ticks:
+		case <-wake:
 		case <-ctx.Done():
 			// Shutdown: stop admitting, then let the pool fold
 			// everything already admitted so no accepted dump is lost. A
@@ -668,7 +656,6 @@ func (w ingestWindow) Sweep(ctx context.Context, env *SweepEnv) error {
 		drain:
 			for len(s.slots) > 0 {
 				select {
-				case <-s.foldNotify:
 				case <-poll.C:
 				case <-giveUp:
 					break drain
@@ -678,11 +665,16 @@ func (w ingestWindow) Sweep(ctx context.Context, env *SweepEnv) error {
 			s.flushAccounting(env)
 			return nil
 		}
-		if !env.Config.now().Before(deadline) {
+		left := deadline.Sub(env.Config.now())
+		if left <= 0 {
 			quiesce()
 			s.closeStart.Store(time.Now().UnixNano())
 			s.flushAccounting(env)
 			return nil
+		}
+		if timer != nil {
+			// Fired before the pipeline clock reached the deadline.
+			timer.Reset(left)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/goleak"
 	"repro/internal/gprofile"
 	"repro/internal/report"
 	"repro/internal/stack"
@@ -553,6 +554,45 @@ func TestIngestLateArrivalNextWindow(t *testing.T) {
 	}
 }
 
+// TestIngestWindowClosesAtDeadline pins prompt window close on the real
+// clock: with no arrivals and no IngestTicks, each window's Sweep must
+// reach OnSweep within a few milliseconds of its deadline (Sweep.At plus
+// the window), not whenever a polling interval next comes round.
+func TestIngestWindowClosesAtDeadline(t *testing.T) {
+	const window = 200 * time.Millisecond
+	const windows = 7
+	lates := make(chan time.Duration, windows)
+	pipe := New(
+		WithWindow(window),
+		WithOnSweep(func(s *Sweep) {
+			select {
+			case lates <- time.Since(s.At.Add(window)):
+			default: // the shutdown sweep, or windows beyond the sample
+			}
+		}),
+	)
+	srv := NewIngestServer(pipe)
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+
+	var got []time.Duration
+	for len(got) < windows {
+		select {
+		case d := <-lates:
+			got = append(got, d)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d windows closed", len(got), windows)
+		}
+	}
+	cancel()
+	<-runDone
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	if median := got[len(got)/2]; median >= 10*time.Millisecond {
+		t.Fatalf("median window close %v after the deadline, want < 10ms (all: %v)", median, got)
+	}
+}
+
 // TestIngestDrainOnClose checks the shutdown barrier: cancelling Run
 // folds everything already admitted into one final partial-window sweep
 // before returning, and the handler refuses new work afterwards.
@@ -566,6 +606,7 @@ func TestIngestDrainOnClose(t *testing.T) {
 		WithOnSweep(func(s *Sweep) { sweeps <- s }),
 	)
 	srv := NewIngestServer(pipe, IngestTicks(make(chan time.Time)))
+	ignore := goleak.IgnoreCurrent()
 	body := renderDump(t, onePager("pay", "i0", 50))
 	for i := 0; i < 3; i++ {
 		if rec := postDump(srv, "pay", "i"+strconv.Itoa(i), body, false); rec.Code != http.StatusAccepted {
@@ -579,6 +620,7 @@ func TestIngestDrainOnClose(t *testing.T) {
 	if err := srv.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run: %v, want context.Canceled", err)
 	}
+	goleak.VerifyNone(t, ignore) // no fold worker outlives the drain
 	sweep := <-sweeps
 	if sweep.Profiles != 3 {
 		t.Fatalf("final sweep Profiles = %d, want 3", sweep.Profiles)
@@ -614,6 +656,7 @@ func TestIngestLoad(t *testing.T) {
 		WithOnSweep(func(s *Sweep) { foldedProfiles.Add(int64(s.Profiles)) }),
 	)
 	srv := NewIngestServer(pipe, IngestQueue(64))
+	ignore := goleak.IgnoreCurrent()
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -660,6 +703,8 @@ func TestIngestLoad(t *testing.T) {
 	wg.Wait()
 	cancel()
 	<-runDone
+	hs.Close()
+	goleak.VerifyNone(t, ignore) // no fold worker or window outlives Run
 
 	total := int64(posters * perPoster)
 	st := srv.Stats()

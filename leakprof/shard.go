@@ -323,7 +323,8 @@ func NewShardInbox(capacity int) *ShardInbox {
 }
 
 // ServeHTTP accepts one POSTed report frame, dropping a duplicate
-// (shard, sequence) delivery with 409.
+// (shard, sequence) delivery with 409. The body is read no further than
+// one maximal frame, and its payload buffer grows only as bytes arrive.
 func (in *ShardInbox) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a shard report frame", http.StatusMethodNotAllowed)
@@ -335,7 +336,7 @@ func (in *ShardInbox) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing or invalid X-Leakprof-Token", http.StatusUnauthorized)
 		return
 	}
-	rep, err := ReadShardReport(r.Body)
+	rep, err := ReadShardReport(http.MaxBytesReader(w, r.Body, frameHeaderSize+maxFrameBytes))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

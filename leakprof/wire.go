@@ -107,9 +107,15 @@ func ReadShardReport(r io.Reader) (*ShardReport, error) {
 	if length == 0 || length > maxFrameBytes {
 		return nil, fmt.Errorf("leakprof: shard report claims implausible length %d", length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The length prefix is untrusted until the checksum passes: grow the
+	// payload only as bytes arrive, so a header claiming a gigabyte costs
+	// what the sender actually sends.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(length)))
+	if err != nil {
 		return nil, fmt.Errorf("leakprof: reading shard report: %w", err)
+	}
+	if len(payload) < int(length) {
+		return nil, fmt.Errorf("leakprof: reading shard report: %w", io.ErrUnexpectedEOF)
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, errors.New("leakprof: shard report checksum mismatch")
@@ -130,6 +136,9 @@ func encodeShardReport(rep *ShardReport) ([]byte, error) {
 	full := tbl.AppendTo(make([]byte, 0, len(body)+64))
 	full = append(full, body...)
 
+	if len(full) > maxFrameBytes {
+		return nil, fmt.Errorf("leakprof: shard report body of %d bytes exceeds %d", len(full), maxFrameBytes)
+	}
 	if len(full) < wireFlateMin {
 		return append([]byte{wireFrameMagic, wireFrameVersion, 0}, full...), nil
 	}
@@ -214,7 +223,7 @@ func decodeShardReport(payload []byte) (*ShardReport, error) {
 	flags, body := payload[2], payload[3:]
 	if flags&binaryFlagFlate != 0 {
 		var err error
-		if body, err = io.ReadAll(flate.NewReader(bytes.NewReader(body))); err != nil {
+		if body, err = inflateBody(body, maxFrameBytes); err != nil {
 			return nil, fmt.Errorf("leakprof: inflating shard report: %w", err)
 		}
 	}
