@@ -235,7 +235,8 @@
 // (WithWindow; a late arrival credits the next window). A window closes
 // at its deadline — one timer armed when it opens wakes the close, so
 // each window lasts exactly WithWindow and its Sweep reaches the sinks
-// without waiting on a polling interval — and each close emits one
+// without waiting on a polling interval or on scans in progress, which
+// yield the processor between body reads — and each close emits one
 // ordinary Sweep: alerting, trend tracking, archives, and the state
 // journal run unchanged, they simply see "windows" instead of
 // "collection rounds".

@@ -87,6 +87,17 @@ func putGzipReader(zr *gzip.Reader) {
 	gzipReaderPool.Put(zr)
 }
 
+// yieldReader yields the processor before each read of a body being
+// scanned, so a window close that falls due while every processor is
+// scanning runs after one read's worth of scanning rather than after
+// the scheduler's 10 ms preemption.
+type yieldReader struct{ io.Reader }
+
+func (r yieldReader) Read(p []byte) (int, error) {
+	runtime.Gosched()
+	return r.Reader.Read(p)
+}
+
 // ingestItem is one admitted dump: the compact scanned snapshot plus
 // the salvage diagnostic, if the scan resynced past malformed members.
 type ingestItem struct {
@@ -393,7 +404,7 @@ func (s *IngestServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if limit <= 0 {
 		limit = DefaultMaxProfileBytes
 	}
-	lr := &io.LimitedReader{R: body, N: limit + 1}
+	lr := &io.LimitedReader{R: yieldReader{body}, N: limit + 1}
 	snap, err := gprofile.ScanSnapshotWith(service, instance, s.pipe.cfg.now(), lr, s.pipe.cfg.Intern)
 	switch {
 	case err != nil:

@@ -5,12 +5,14 @@ import (
 	"compress/gzip"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -591,6 +593,47 @@ func TestIngestWindowClosesAtDeadline(t *testing.T) {
 	if median := got[len(got)/2]; median >= 10*time.Millisecond {
 		t.Fatalf("median window close %v after the deadline, want < 10ms (all: %v)", median, got)
 	}
+}
+
+// TestIngestScanYields pins that the handler yields the processor
+// between reads of the body it scans: on one processor, a goroutine made
+// runnable during the body's first read must run before the body is
+// read to its end, as a window close falling due mid-scan must.
+func TestIngestScanYields(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	body := &chunkReader{data: renderDump(t, onePager("pay", "pay-1", 3))}
+	body.chunk = len(body.data)/4 + 1
+	req := httptest.NewRequest(http.MethodPost, "/?service=pay&instance=pay-1", body)
+	rec := httptest.NewRecorder()
+	NewIngestServer(New()).ServeHTTP(rec, req)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("status %d, want 202: %s", rec.Code, rec.Body)
+	}
+	if !body.ranBeforeEOF {
+		t.Fatalf("a goroutine readied during the first of %d reads had not run by the last", body.reads)
+	}
+}
+
+// chunkReader serves data a chunk per read. The first read starts a
+// goroutine; the read that reaches EOF records whether it has run.
+type chunkReader struct {
+	data         []byte
+	chunk, reads int
+	ran          atomic.Bool
+	ranBeforeEOF bool
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if r.reads++; r.reads == 1 {
+		go r.ran.Store(true)
+	}
+	if len(r.data) == 0 {
+		r.ranBeforeEOF = r.ran.Load()
+		return 0, io.EOF
+	}
+	n := copy(p, r.data[:min(r.chunk, len(r.data))])
+	r.data = r.data[n:]
+	return n, nil
 }
 
 // TestIngestDrainOnClose checks the shutdown barrier: cancelling Run
