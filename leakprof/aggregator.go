@@ -1,8 +1,10 @@
 package leakprof
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/gprofile"
@@ -47,6 +49,39 @@ type aggShard struct {
 type locKey struct {
 	service string
 	op      stack.BlockedOp
+}
+
+// compareGroups orders aggregation groups by their dedup key (service,
+// then Op, then Location: field by field, which is exactly Key() order
+// because no field contains a NUL) and then by the Function and
+// NilChannel the key folds away, so the order is total over groups and
+// never follows map iteration. It builds no string.
+func compareGroups(as string, a *stack.BlockedOp, bs string, b *stack.BlockedOp) int {
+	if c := strings.Compare(as, bs); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Op, b.Op); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Location, b.Location); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Function, b.Function); c != 0 {
+		return c
+	}
+	switch {
+	case a.NilChannel == b.NilChannel:
+		return 0
+	case b.NilChannel:
+		return -1
+	}
+	return 1
+}
+
+// blockedOp returns the operation of the group a finding was
+// materialised from.
+func (f *Finding) blockedOp() stack.BlockedOp {
+	return stack.BlockedOp{Op: f.Op, Location: f.Location, Function: f.Function, NilChannel: f.NilChannel}
 }
 
 // locStats are the streaming moments for one group.
@@ -162,11 +197,12 @@ func (a *Aggregator) Findings(r Ranking) []*Finding {
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		if findings[i].Impact != findings[j].Impact {
-			return findings[i].Impact > findings[j].Impact
+	slices.SortFunc(findings, func(a, b *Finding) int {
+		if c := cmp.Compare(b.Impact, a.Impact); c != 0 {
+			return c
 		}
-		return findings[i].Key() < findings[j].Key()
+		ao, bo := a.blockedOp(), b.blockedOp()
+		return compareGroups(a.Service, &ao, b.Service, &bo)
 	})
 	return findings
 }
@@ -229,9 +265,9 @@ func (m Moment) Variance() float64 {
 }
 
 // Moments exports every group's raw streaming moments — suspicious or
-// not — sorted by key for determinism. Like Findings it may be called
-// mid-sweep, but the canonical result is the call after collection
-// completes.
+// not — sorted by key, then by Function and NilChannel, for determinism.
+// Like Findings it may be called mid-sweep, but the canonical result is
+// the call after collection completes.
 func (a *Aggregator) Moments() []Moment {
 	a.mu.Lock()
 	services := make(map[string]int, len(a.services))
@@ -240,7 +276,14 @@ func (a *Aggregator) Moments() []Moment {
 	}
 	a.mu.Unlock()
 
-	var out []Moment
+	n := 0
+	for i := range a.shards {
+		sh := &a.shards[i]
+		sh.mu.Lock()
+		n += len(sh.groups)
+		sh.mu.Unlock()
+	}
+	out := make([]Moment, 0, n)
 	for i := range a.shards {
 		sh := &a.shards[i]
 		sh.mu.Lock()
@@ -259,8 +302,22 @@ func (a *Aggregator) Moments() []Moment {
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
+	// Sort positions rather than the ~150-byte moments themselves, so
+	// neither comparisons nor swaps copy them; one pass then lays the
+	// moments out in order.
+	order := make([]int32, len(out))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := &out[i], &out[j]
+		return compareGroups(a.Service, &a.Op, b.Service, &b.Op)
+	})
+	sorted := make([]Moment, len(out))
+	for k, i := range order {
+		sorted[k] = out[i]
+	}
+	return sorted
 }
 
 // Merge combines two independently folded moment sets for the same group

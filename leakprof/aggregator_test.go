@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -244,5 +245,76 @@ func TestAggregatorZeroInstancesCountTowardDenominator(t *testing.T) {
 	// sqrt(400^2 / 4) = 200 with three zero-padded instances.
 	if math.Abs(li-200) > 1e-9 {
 		t.Errorf("RMS over 4 instances = %f, want 200", li)
+	}
+}
+
+// TestMomentsOrderIsTotal pins the moment order as total: groups that
+// share a Key() but differ in Function or NilChannel must come out in the
+// same order however the fold went, so one fold always yields the same
+// ShardReport bytes.
+func TestMomentsOrderIsTotal(t *testing.T) {
+	var snaps []*gprofile.Snapshot
+	for i := 0; i < 40; i++ {
+		snap := &gprofile.Snapshot{
+			Service: fmt.Sprintf("svc%d", i%3), Instance: fmt.Sprintf("i%d", i),
+			PreAggregated: map[stack.BlockedOp]int{},
+		}
+		for l := 0; l < 25; l++ {
+			loc := fmt.Sprintf("/svc/f%d.go:%d", l, 10+l)
+			// Same Key(), different Function and NilChannel.
+			snap.PreAggregated[stack.BlockedOp{Op: "send", Location: loc, Function: "svc.a"}] = 1 + i
+			snap.PreAggregated[stack.BlockedOp{Op: "send", Location: loc, Function: "svc.b"}] = 2 + i
+			snap.PreAggregated[stack.BlockedOp{Op: "send", Location: loc, Function: "svc.b", NilChannel: true}] = 3 + i
+		}
+		snaps = append(snaps, snap)
+	}
+	for trial := 0; trial < 5; trial++ {
+		forward, backward := NewAggregator(10), NewAggregator(10)
+		for i := range snaps {
+			forward.Add(snaps[i])
+			backward.Add(snaps[len(snaps)-1-i])
+		}
+		got, want := backward.Moments(), forward.Moments()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: moments depend on fold order", trial)
+		}
+		if len(got) != 3*3*25 {
+			t.Fatalf("%d moments, want %d", len(got), 3*3*25)
+		}
+		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Key() < got[j].Key() }) {
+			t.Fatalf("moments are not sorted by Key()")
+		}
+		if !reflect.DeepEqual(backward.Findings(RankTotal), forward.Findings(RankTotal)) {
+			t.Fatalf("trial %d: findings depend on fold order", trial)
+		}
+	}
+}
+
+// TestMomentsSortAllocsFlat pins the moment export's allocations as
+// independent of the group count: sorting compares fields in place
+// instead of building two key strings per comparison.
+func TestMomentsSortAllocsFlat(t *testing.T) {
+	agg := NewAggregator(10)
+	const groups = 12_000
+	moments := make([]Moment, groups)
+	for i := range moments {
+		moments[i] = Moment{
+			Service: fmt.Sprintf("svc%02d", i%20),
+			Op: stack.BlockedOp{
+				Op: "receive", Location: fmt.Sprintf("/svc/pkg/handler%05d.go:%d", i, 40+i%7),
+				Function: fmt.Sprintf("svc/pkg.handler%05d", i),
+			},
+			Total: 1 + i%50, Instances: 1, MaxCount: 1 + i%50, MaxInstance: "i0",
+		}
+	}
+	agg.MergeMoments(map[string]int{"svc00": 1}, 1, moments)
+	var out []Moment
+	allocs := testing.AllocsPerRun(5, func() { out = agg.Moments() })
+	if len(out) != groups {
+		t.Fatalf("%d moments, want %d", len(out), groups)
+	}
+	// The services-map copy and the output slice; nothing per group.
+	if allocs > 8 {
+		t.Errorf("Moments over %d groups: %.0f allocs/op, want <= 8", groups, allocs)
 	}
 }

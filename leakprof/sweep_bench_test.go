@@ -174,3 +174,56 @@ func BenchmarkSweepCriticalPath(b *testing.B) {
 			WithStateCompaction(1, 2))
 	})
 }
+
+// BenchmarkTrendSweep measures the trend tail of one daily sweep at the
+// pull plane's steady state: export ~20K groups' moments from the
+// aggregator (the sort every shard report and coordinator sweep pays)
+// and record them into a tracker restored with 100K keys, every one
+// already at a 30-sweep retention window.
+func BenchmarkTrendSweep(b *testing.B) {
+	const (
+		trackedKeys = 100_000
+		groups      = 20_000
+		retention   = 30
+	)
+	loc := func(i int) string { return fmt.Sprintf("/svc/pkg/handler%06d.go:%d", i, 40+i%9) }
+	service := func(i int) string { return fmt.Sprintf("svc%02d", i%16) }
+
+	tr := &TrendTracker{Retention: retention}
+	history := make([]TrendObservation, retention)
+	for d := range history {
+		history[d] = TrendObservation{At: time.Unix(int64(d)*86400, 0), Total: 100 + d, Profiles: 8, SumSquares: 2000}
+	}
+	restore := make(map[string][]TrendObservation, trackedKeys)
+	for i := 0; i < trackedKeys; i++ {
+		// Restore copies each history, so every key can share one.
+		restore[(&Finding{Service: service(i), Op: "receive", Location: loc(i)}).Key()] = history
+	}
+	tr.Restore(restore)
+
+	agg := NewAggregator(DefaultThreshold)
+	moments := make([]Moment, groups)
+	services := map[string]int{}
+	for i := range moments {
+		moments[i] = Moment{
+			Service: service(i),
+			Op:      stack.BlockedOp{Op: "receive", Location: loc(i), Function: fmt.Sprintf("svc/pkg.handler%06d", i)},
+			Total:   50 + i%200, Instances: 4, SumSquares: float64(i % 5000),
+			MaxCount: 20 + i%100, MaxInstance: "i0",
+		}
+		services[service(i)] = 8
+	}
+	agg.MergeMoments(services, 8*len(services), moments)
+
+	at := time.Unix(retention*86400, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.ObserveMoments(at, agg.Moments())
+		at = at.Add(24 * time.Hour)
+	}
+	b.StopTimer()
+	if got := len(tr.Keys()); got != trackedKeys {
+		b.Fatalf("tracker holds %d keys, want %d", got, trackedKeys)
+	}
+}

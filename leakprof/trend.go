@@ -1,7 +1,9 @@
 package leakprof
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -44,15 +46,39 @@ func (v TrendVerdict) String() string {
 
 // observation is one sweep's fleet-wide count for a finding key, plus —
 // when fed from aggregator moments — the per-instance dispersion that
-// lets the verdict separate growth from sampling noise.
+// lets the verdict separate growth from sampling noise. It holds no
+// pointer, so the garbage collector never scans trend history.
 type observation struct {
-	at    time.Time
+	// at is the sweep timestamp in Unix nanoseconds (noTime for the zero
+	// time): exactly what the binary journal stores.
+	at    int64
 	total int
 	// profiles and sumSquares carry the service's profiled-instance
 	// count and the sum of squared per-instance counts; zero for legacy
 	// finding-total observations (no variance available).
 	profiles   int
 	sumSquares float64
+}
+
+// noTime is observation.at for the zero time, which has no Unix
+// nanosecond value of its own.
+const noTime = math.MinInt64
+
+// unixNanos converts a sweep timestamp to observation.at.
+func unixNanos(at time.Time) int64 {
+	if at.IsZero() {
+		return noTime
+	}
+	return at.UnixNano()
+}
+
+// timeOf converts observation.at back to the UTC time a binary-journal
+// round trip of the original timestamp returns.
+func timeOf(at int64) time.Time {
+	if at == noTime {
+		return time.Time{}
+	}
+	return time.Unix(0, at).UTC()
 }
 
 // noise returns the expected relative fluctuation of the observation's
@@ -119,12 +145,18 @@ func (t *TrendTracker) retain(obs []observation) []observation {
 
 // record appends one observation to a key's history, honouring retention,
 // and — once delta tracking is armed — tracks it as pending for the next
-// TakeNew.
+// TakeNew. A history already at Retention shifts in place, so the
+// steady-state append allocates nothing.
 func (t *TrendTracker) record(key string, o observation) {
 	if t.history == nil {
 		t.history = map[string][]observation{}
 	}
-	t.history[key] = t.retain(append(t.history[key], o))
+	if obs := t.history[key]; t.Retention > 0 && len(obs) == t.Retention {
+		copy(obs, obs[1:])
+		obs[len(obs)-1] = o
+	} else {
+		t.history[key] = t.retain(append(obs, o))
+	}
 	if !t.pendingArmed {
 		return
 	}
@@ -139,10 +171,11 @@ func (t *TrendTracker) record(key string, o observation) {
 // totals; prefer ObserveMoments, which records per-instance variance and
 // pre-threshold groups as well.
 func (t *TrendTracker) Observe(at time.Time, findings []*Finding) {
+	ns := unixNanos(at)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, f := range findings {
-		t.record(f.Key(), observation{at: at, total: f.TotalBlocked})
+		t.record(f.Key(), observation{at: ns, total: f.TotalBlocked})
 	}
 }
 
@@ -159,19 +192,21 @@ func (t *TrendTracker) ObserveMoments(at time.Time, moments []Moment) {
 	// away, so one sweep can hand us several moments per key. Merge
 	// them first: appending two same-timestamp observations would read
 	// as a bogus sweep-over-sweep transition.
+	ns := unixNanos(at)
 	merged := make(map[string]observation, len(moments))
 	for _, m := range moments {
 		if m.Total <= 0 {
 			continue
 		}
-		o := merged[m.Key()]
-		o.at = at
+		key := m.Key()
+		o := merged[key]
+		o.at = ns
 		o.total += m.Total
 		o.sumSquares += m.SumSquares
 		if m.ServiceProfiles > o.profiles {
 			o.profiles = m.ServiceProfiles
 		}
-		merged[m.Key()] = o
+		merged[key] = o
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -185,7 +220,9 @@ func (t *TrendTracker) ObserveMoments(at time.Time, moments []Moment) {
 // per-instance moments behind variance-aware verdicts — survives a
 // restart.
 type TrendObservation struct {
-	// At is the sweep timestamp the observation was recorded under.
+	// At is the sweep timestamp the observation was recorded under, in
+	// UTC at nanosecond precision (the zero time stays zero): the value
+	// a binary-journal round trip returns.
 	At time.Time `json:"at"`
 	// Total is the fleet-wide blocked count for the key.
 	Total int `json:"total"`
@@ -294,7 +331,7 @@ func (t *TrendTracker) TakeNew() map[string][]TrendObservation {
 func exportObservations(obs []observation) []TrendObservation {
 	exported := make([]TrendObservation, len(obs))
 	for i, o := range obs {
-		exported[i] = TrendObservation{At: o.at, Total: o.total, Profiles: o.profiles, SumSquares: o.sumSquares}
+		exported[i] = TrendObservation{At: timeOf(o.at), Total: o.total, Profiles: o.profiles, SumSquares: o.sumSquares}
 	}
 	return exported
 }
@@ -375,7 +412,7 @@ func (t *TrendTracker) restoreDelta(history map[string][]TrendObservation) {
 func importObservations(obs []TrendObservation) []observation {
 	restored := make([]observation, len(obs))
 	for i, o := range obs {
-		restored[i] = observation{at: o.At, total: o.Total, profiles: o.Profiles, sumSquares: o.SumSquares}
+		restored[i] = observation{at: unixNanos(o.At), total: o.Total, profiles: o.Profiles, sumSquares: o.SumSquares}
 	}
 	return restored
 }
@@ -396,7 +433,7 @@ func (t *TrendTracker) verdictLocked(key string) TrendVerdict {
 	if len(obs) < min {
 		return TrendUnknown
 	}
-	sort.Slice(obs, func(i, j int) bool { return obs[i].at.Before(obs[j].at) })
+	slices.SortStableFunc(obs, func(a, b observation) int { return cmp.Compare(a.at, b.at) })
 
 	band := t.StableBand
 	if band == 0 {
